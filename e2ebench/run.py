@@ -3,13 +3,14 @@
 
 Run from the root of a source checkout:
 
-    python3 e2ebench/run.py --workload small_read --seed 1 --seconds 10 --trace 0
+    python3 e2ebench/run.py --workload small_read --seed 1 --seconds 15 --trace 0
 
 Builds bin/balgd.exe and e2ebench/balgbench.exe with dune (output to
 stderr), then runs balgbench, whose last stdout line is the JSON result.
 Scratch files go to .bench_work/<workload>/ in the checkout.
 """
 
+import glob
 import os
 import shutil
 import signal
@@ -23,9 +24,11 @@ def find_dune():
     dune = shutil.which("dune")
     if dune:
         return dune
-    prefix = os.environ.get("OPAM_SWITCH_PREFIX")
-    if prefix and os.path.isfile(os.path.join(prefix, "bin", "dune")):
-        return os.path.join(prefix, "bin", "dune")
+    prefixes = [os.environ.get("OPAM_SWITCH_PREFIX", "")]
+    prefixes += sorted(glob.glob(os.path.expanduser("~/.opam/*")))
+    for prefix in prefixes:
+        if prefix and os.path.isfile(os.path.join(prefix, "bin", "dune")):
+            return os.path.join(prefix, "bin", "dune")
     return None
 
 
@@ -48,7 +51,9 @@ def main(argv):
     if dune is None:
         print("run.py: dune not found", file=sys.stderr)
         return 2
-    env = dict(os.environ, DUNE_CACHE="disabled")
+    # the compilers sit beside dune in its opam switch
+    path = os.path.dirname(dune) + os.pathsep + os.environ.get("PATH", "")
+    env = dict(os.environ, DUNE_CACHE="disabled", PATH=path)
     build = subprocess.run(
         [dune, "build", "--root", ".", "./bin/balgd.exe", "./e2ebench/balgbench.exe"],
         stdout=sys.stderr,

@@ -19,13 +19,6 @@ module Client = Balgserver.Client
 
 let setups = 7
 
-(* The host is shared: for minutes at a time its neighbours slow every
-   layer alike (steal time).  Each gated latency and CPU figure is
-   therefore taken over [windows] equal slices of the timed phase — the
-   median of each slice, then the lowest slice — so it tracks the server
-   in the run's quietest stretch rather than the neighbours. *)
-let windows = 15
-
 (* untimed load before the timed phase, so that the result cache and
    the heaps have settled when timing starts *)
 let warm_seconds = 2.
@@ -125,7 +118,7 @@ type wire_run = {
   setup_s : float list;
   warm : Wire.record list;
   timed : Wire.record list;
-  cpu_samples : (float * int) list;  (** server CPU seconds, requests done *)
+  cpu_s : float;  (** server CPU seconds over the timed phase *)
   rss_mb : float;
   counters : (string * float) list;  (** deltas over the timed phase *)
 }
@@ -150,12 +143,15 @@ let wire_run a (wl : Workload.t) ~fixture =
   let sv, setup_s = start 1 [] in
   let conns = List.init wl.clients (fun _ -> Wire.connect sv) in
   let preamble = Wire.warm_up wl conns in
-  let c0 = ref [] in
-  let records, cpu_samples =
-    Wire.drive wl ~seed:a.seed ~warm_seconds ~seconds:a.seconds ~windows
-      ~at_start:(fun () -> c0 := Wire.counters sv counter_names)
-      sv conns
+  let c0 = ref [] and cpu0 = ref 0. in
+  let records =
+    Wire.drive wl ~seed:a.seed ~warm_seconds ~seconds:a.seconds
+      ~at_start:(fun () ->
+        c0 := Wire.counters sv counter_names;
+        cpu0 := Wire.cpu_s sv)
+      conns
   in
+  let cpu1 = Wire.cpu_s sv in
   let c1 = Wire.counters sv counter_names in
   let warm, timed = List.partition (fun (r : Wire.record) -> not r.timed) records in
   let rss_mb = Wire.peak_rss_mb sv in
@@ -165,7 +161,7 @@ let wire_run a (wl : Workload.t) ~fixture =
     setup_s;
     warm = preamble @ warm;
     timed;
-    cpu_samples;
+    cpu_s = cpu1 -. !cpu0;
     rss_mb;
     counters = List.map2 (fun (n, x) (_, y) -> (n, y -. x)) !c0 c1;
   }
@@ -184,34 +180,14 @@ let check_replies oracle records =
     records
   |> List.length
 
-(* [xs] in order, cut into [windows] slices of equal count: the lowest
-   slice median. *)
-let quietest_median xs =
-  let a = Array.of_list xs in
-  let n = Array.length a in
-  if n < windows then median xs
-  else
-    List.fold_left min infinity
-      (List.init windows (fun k -> median (Array.to_list (Array.sub a (k * n / windows) (((k + 1) * n / windows) - (k * n / windows))))))
-
-(* CPU per request in each sampling window: the lowest. *)
-let quietest_cpu_us samples =
-  let rec go acc = function
-    | (c0, n0) :: ((c1, n1) :: _ as tl) -> go (if n1 > n0 then ((c1 -. c0) *. 1e6 /. float_of_int (n1 - n0)) :: acc else acc) tl
-    | _ -> acc
-  in
-  List.fold_left min infinity (go [] samples)
-
 let end_to_end w =
-  let p50 cls =
-    quietest_median (List.filter_map (fun (r : Wire.record) -> if r.req.cls = cls then Some (latency_us r) else None) w.timed)
-  in
+  let p50 cls = median (List.filter_map (fun (r : Wire.record) -> if r.req.cls = cls then Some (latency_us r) else None) w.timed) in
   [
     ("setup_s", median w.setup_s, "s");
     ("read_hot_p50_us", p50 Hot, "us");
     ("read_fresh_p50_us", p50 Fresh, "us");
     ("write_p50_us", p50 Write, "us");
-    ("cpu_us_per_op", quietest_cpu_us w.cpu_samples, "us");
+    ("cpu_us_per_op", w.cpu_s *. 1e6 /. float_of_int (max 1 (List.length w.timed)), "us");
     ("peak_rss_mb", w.rss_mb, "MB");
   ]
 

@@ -162,15 +162,11 @@ let warm_up (wl : Workload.t) conns =
 (* Closed loop: each client sends its next request once the previous
    reply is in.  The first [warm_seconds] are untimed, so that the result
    cache and the heaps reach their steady state; the next [seconds] are
-   timed.  Meanwhile the server's CPU time and the count of timed
-   requests done are sampled at [windows] equal intervals, so that CPU
-   per request can be read per window; [at_start] runs when timing
-   starts.  Records come back in send order. *)
-let drive (wl : Workload.t) ~seed ~warm_seconds ~seconds ~windows ~at_start sv conns =
-  let t_warm = now_ns () in
-  let t0 = t_warm + int_of_float (warm_seconds *. 1e9) in
+   timed, and [at_start] runs when timing starts.  Records come back in
+   send order. *)
+let drive (wl : Workload.t) ~seed ~warm_seconds ~seconds ~at_start conns =
+  let t0 = now_ns () + int_of_float (warm_seconds *. 1e9) in
   let deadline = t0 + int_of_float (seconds *. 1e9) in
-  let completed = Atomic.make 0 in
   let results = Array.make (List.length conns) [] in
   let threads =
     List.mapi
@@ -180,26 +176,15 @@ let drive (wl : Workload.t) ~seed ~warm_seconds ~seconds ~windows ~at_start sv c
             let next = Workload.stream wl ~seed ~client:i in
             let rec loop acc =
               let now = now_ns () in
-              if now >= deadline then acc
-              else begin
-                let r = send c ~client:i ~timed:(now >= t0) (next ()) in
-                if r.timed then Atomic.incr completed;
-                loop (r :: acc)
-              end
+              if now >= deadline then acc else loop (send c ~client:i ~timed:(now >= t0) (next ()) :: acc)
             in
             results.(i) <- List.rev (loop []))
           ())
       conns
   in
-  let samples =
-    List.init (windows + 1) (fun k ->
-        let due = t0 + (k * (deadline - t0) / windows) in
-        let wait = due - now_ns () in
-        if wait > 0 then Thread.delay (float_of_int wait /. 1e9);
-        let sample = (cpu_s sv, Atomic.get completed) in
-        if k = 0 then at_start ();
-        sample)
-  in
+  let wait = t0 - now_ns () in
+  if wait > 0 then Thread.delay (float_of_int wait /. 1e9);
+  at_start ();
   List.iter Thread.join threads;
   let by_send (x : record) (y : record) = compare x.t_send y.t_send in
-  (List.stable_sort by_send (List.concat (Array.to_list results)), samples)
+  List.stable_sort by_send (List.concat (Array.to_list results))

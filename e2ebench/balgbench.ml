@@ -4,10 +4,10 @@
                    --balgd PATH --work DIR
 
    Generates the workload's store from the seed, starts balgd on fresh
-   copies of it (set-up is timed from spawn to the first pong, seven times),
-   drives the workload's clients closed-loop, untimed for two seconds and
-   then timed for S, and checks every reply against the reference-engine
-   oracle.
+   copies of it (set-up is timed from spawn to the first pong, eleven
+   times), drives the workload's clients closed-loop, untimed for two
+   seconds and then timed for S, and checks every reply against the
+   reference-engine oracle.
    With --trace 1 it then replays the same request stream in-process with
    a span around every layer call (see replay.ml), checks the replay
    against a fresh server byte for byte, and reports per-layer figures.
@@ -17,7 +17,10 @@
 module Store = Balgserver.Store
 module Client = Balgserver.Client
 
-let setups = 7
+(* set-up is timed on this many fresh starts before the load and this
+   many after it, so that its median spans the run *)
+let setups_before = 6
+let setups_after = 5
 
 (* untimed load before the timed phase, so that the result cache and
    the heaps have settled when timing starts *)
@@ -132,15 +135,13 @@ let wire_run a (wl : Workload.t) ~fixture =
     copy_dir fixture store;
     Wire.spawn ~exe:a.balgd ~store
   in
-  let rec start i acc =
+  let time_setup i =
     let sv, s = spawn i in
-    if i = setups then (sv, List.rev (s :: acc))
-    else begin
-      Wire.stop sv;
-      start (i + 1) (s :: acc)
-    end
+    Wire.stop sv;
+    s
   in
-  let sv, setup_s = start 1 [] in
+  let before = List.init (setups_before - 1) (fun i -> time_setup (i + 1)) in
+  let sv, s = spawn setups_before in
   let conns = List.init wl.clients (fun _ -> Wire.connect sv) in
   let preamble = Wire.warm_up wl conns in
   let c0 = ref [] and cpu0 = ref 0. in
@@ -157,8 +158,9 @@ let wire_run a (wl : Workload.t) ~fixture =
   let rss_mb = Wire.peak_rss_mb sv in
   List.iter Client.close conns;
   Wire.stop sv;
+  let after = List.init setups_after (fun i -> time_setup (setups_before + 1 + i)) in
   {
-    setup_s;
+    setup_s = before @ (s :: after);
     warm = preamble @ warm;
     timed;
     cpu_s = cpu1 -. !cpu0;
@@ -180,8 +182,23 @@ let check_replies oracle records =
     records
   |> List.length
 
+(* A class's latency: the median of each shape's timed requests, averaged
+   over the shapes.  A plain median over a mix of shapes that cost
+   different amounts falls in the gap between two of them, where a few
+   requests more or less of one shape move it far. *)
+let shape_p50 timed cls =
+  let by_shape = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Wire.record) ->
+      if r.req.cls = cls then
+        Hashtbl.replace by_shape r.req.shape
+          (latency_us r :: Option.value ~default:[] (Hashtbl.find_opt by_shape r.req.shape)))
+    timed;
+  let medians = Hashtbl.fold (fun _ xs acc -> median xs :: acc) by_shape [] in
+  List.fold_left ( +. ) 0. medians /. float_of_int (max 1 (List.length medians))
+
 let end_to_end w =
-  let p50 cls = median (List.filter_map (fun (r : Wire.record) -> if r.req.cls = cls then Some (latency_us r) else None) w.timed) in
+  let p50 = shape_p50 w.timed in
   [
     ("setup_s", median w.setup_s, "s");
     ("read_hot_p50_us", p50 Hot, "us");

@@ -3,7 +3,7 @@
 
 Run from the root of a source checkout:
 
-    python3 e2ebench/run.py --workload small_read --seed 1 --seconds 15 --trace 0
+    python3 e2ebench/run.py --workload small_read --seed 1 --seconds 20 --trace 0
 
 Builds bin/balgd.exe and e2ebench/balgbench.exe with dune (output to
 stderr), then runs balgbench, whose last stdout line is the JSON result.

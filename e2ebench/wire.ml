@@ -151,7 +151,7 @@ let send c ~client ~timed req =
 (* Untimed preamble: each session's settings, then one pass over the hot
    pool so that hot reads start from a warm cache. *)
 let warm_up (wl : Workload.t) conns =
-  let ctl line = { Workload.cls = Control; line } in
+  let ctl line = { Workload.cls = Control; shape = 0; line } in
   let settings =
     List.concat (List.mapi (fun i c -> List.map (fun l -> send c ~client:i ~timed:false (ctl l)) wl.settings) conns)
   in

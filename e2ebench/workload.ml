@@ -12,7 +12,11 @@ module Bagdb = Baglang.Bagdb
 
 type cls = Hot | Fresh | Write | Control
 
-type req = { cls : cls; line : string }
+(* [shape] tells apart requests of one class whose costs differ by
+   design (query templates, the three heavy kernels): latencies are
+   summarised per shape first, so that the mix's proportions in one run
+   cannot move a median from one shape's cost to another's. *)
+type req = { cls : cls; shape : int; line : string }
 
 type t = {
   clients : int;
@@ -21,9 +25,9 @@ type t = {
   wal_tail : Bagdb.t;  (** defs logged after the snapshot, replayed at start *)
   versions : (string * Ty.t * Value.t array) list;
       (** relations the mix writes, with every value each can hold *)
-  hot : string array;  (** the hot query pool *)
+  hot : string array;  (** the hot query pool; text [i] has shape [i mod templates] *)
   shares : float * float;  (** hot and fresh shares; the rest are defs *)
-  fresh : Random.State.t -> int -> string;  (** query text with literal [k] *)
+  fresh : Random.State.t -> int -> int * string;  (** shape and query text with literal [k] *)
 }
 
 let names = [ "small_read"; "heavy_eval"; "write_mix" ]
@@ -105,7 +109,10 @@ let small_read seed =
     versions;
     hot = Array.init 128 (q rng);
     shares = (0.47, 0.47);
-    fresh = (fun rng k -> with_literal (q rng (Random.State.int rng templates)) k);
+    fresh =
+      (fun rng k ->
+        let j = Random.State.int rng templates in
+        (j, with_literal (q rng j) k));
   }
 
 (* heavy_eval: kernels dominate — a select-over-product join of two
@@ -158,7 +165,10 @@ let heavy_eval seed =
     versions;
     hot = heavy_hot;
     shares = (0.2, 0.6);
-    fresh = (fun rng k -> with_literal (pick rng heavy_queries) k);
+    fresh =
+      (fun rng k ->
+        let j = Random.State.int rng (Array.length heavy_queries) in
+        (j, with_literal heavy_queries.(j) k));
   }
 
 (* write_mix: two clients over eight 200-row relations that the writes
@@ -185,7 +195,10 @@ let write_mix seed =
     versions;
     hot = Array.init 64 (q rng);
     shares = (0.7, 0.1);
-    fresh = (fun rng k -> with_literal (q rng (Random.State.int rng templates)) k);
+    fresh =
+      (fun rng k ->
+        let j = Random.State.int rng templates in
+        (j, with_literal (q rng j) k));
   }
 
 let make name seed =
@@ -209,9 +222,13 @@ let stream wl ~seed ~client =
     incr k;
     let hot, fresh = wl.shares in
     let u = Random.State.float rng 1.0 in
-    if u < hot then { cls = Hot; line = "eval " ^ pick rng wl.hot }
-    else if u < hot +. fresh then { cls = Fresh; line = "eval " ^ wl.fresh rng ((!k * 4) + client) }
+    if u < hot then
+      let i = Random.State.int rng (Array.length wl.hot) in
+      { cls = Hot; shape = i mod templates; line = "eval " ^ wl.hot.(i) }
+    else if u < hot +. fresh then
+      let shape, q = wl.fresh rng ((!k * 4) + client) in
+      { cls = Fresh; shape; line = "eval " ^ q }
     else
       let r = Random.State.int rng (Array.length writes) in
       written.(r) <- written.(r) + 1;
-      { cls = Write; line = writes.(r).(written.(r) mod 4) }
+      { cls = Write; shape = 0; line = writes.(r).(written.(r) mod 4) }

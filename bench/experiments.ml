@@ -327,9 +327,9 @@ let e10_balg1_growth () =
       let bn = Value.replicate (B.of_int n) (Value.tuple [ Value.atom "a" ]) in
       ignore (Eval.eval ~meters (Eval.env_of_list [ ("B", bn) ]) q);
       Printf.printf "%6d | %16s | %16d  %s\n" n
-        (B.to_string meters.Eval.max_count_seen)
+        (B.to_string meters.Harness.max_count_seen)
         (n * n * n)
-        (check_mark (B.equal meters.Eval.max_count_seen (B.of_int (n * n * n)))))
+        (check_mark (B.equal meters.Harness.max_count_seen (B.of_int (n * n * n)))))
     [ 2; 4; 8; 16; 32; 64 ];
   print_endline
     "polynomial counts fit in O(log n) bits as pointers+counters: the\n\

@@ -471,10 +471,10 @@ let run_json ?pool () =
           match b.jmeters with
           | None -> "null"
           | Some m ->
-              let total = m.Eval.memo_hits + m.Eval.memo_misses in
+              let total = m.Harness.memo_hits + m.Harness.memo_misses in
               if total = 0 then "0.0000"
               else
-                Printf.sprintf "%.4f" (float m.Eval.memo_hits /. float total)
+                Printf.sprintf "%.4f" (float m.Harness.memo_hits /. float total)
         in
         Printf.sprintf
           "    {\"name\": \"%s\", \"engine\": \"%s\", \"median_ns\": %.1f, \

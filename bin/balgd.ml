@@ -61,6 +61,26 @@ let write_trace path =
       Ok ())
   | exception Sys_error msg -> Error msg
 
+(* Status lines go to stdout, which whoever started balgd may have closed
+   by now: a write to the broken pipe must not raise, or it would kill the
+   signal-waiter thread (leaving SIGTERM blocked for good) or skip the
+   trace export on the way out.  Once the reader is gone, stdout is
+   pointed at /dev/null so the bytes still buffered cannot fail a later
+   flush either (the at_exit one included). *)
+let status fmt =
+  Printf.ksprintf
+    (fun s ->
+      try
+        print_string s;
+        flush stdout
+      with Sys_error _ -> (
+        try
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          Unix.dup2 null Unix.stdout;
+          Unix.close null
+        with Unix.Unix_error _ -> ()))
+    fmt
+
 let run_serve host port store_dir db_path ceiling max_queue workers
     default_fuel engine optimize cache_capacity compact_bytes follow fault
     fault_seed trace_out log_json slow_log slow_ms =
@@ -113,7 +133,7 @@ let run_serve host port store_dir db_path ceiling max_queue workers
   in
   (* announce the bound (possibly ephemeral) port on stdout: scripts and
      the smoke test grep this line to learn where to connect *)
-  Printf.printf "balgd listening on %s:%d%s\n%!" cfg.Server.host
+  status "balgd listening on %s:%d%s\n" cfg.Server.host
     (Server.port sv)
     (match cfg.Server.follow with
     | None -> ""
@@ -125,9 +145,8 @@ let run_serve host port store_dir db_path ceiling max_queue workers
           match Thread.wait_signal signals with
           | s when s = Sys.sigusr1 ->
               (match Server.promote sv with
-              | `Promoted -> Printf.printf "balgd: promoted to primary\n%!"
-              | `Already_primary ->
-                  Printf.printf "balgd: already primary\n%!");
+              | `Promoted -> status "balgd: promoted to primary\n"
+              | `Already_primary -> status "balgd: already primary\n");
               wait ()
           | _ -> Server.stop sv
           | exception Unix.Unix_error _ -> Server.stop sv
@@ -136,7 +155,7 @@ let run_serve host port store_dir db_path ceiling max_queue workers
       ()
   in
   Server.wait sv;
-  Printf.printf "balgd: served %d sessions, bye\n%!" (Server.sessions_served sv);
+  status "balgd: served %d sessions, bye\n" (Server.sessions_served sv);
   match trace_out with
   | None -> 0
   | Some path -> (

@@ -11,21 +11,16 @@
     account ran dry; the legacy {!eval} entry point converts it to the
     historical {!Resource_limit} exception.
 
-    The expression is {e compiled} to a closure tree before evaluation:
-    each node gets a stable preorder id (the attribution key shared by the
-    governor and the {!Telemetry} span tree), and operator nodes whose
-    free variables are all {e stable} (not bound by a MAP/σ binder applied
-    per element, nor by a fixpoint binder that changes every iteration) are
-    backed by a memo table keyed by (node id, fingerprint of the free-var
-    bindings).  [Fix]/[BFix] iteration and repeated [Let]-bound subqueries
-    then hit cache instead of re-evaluating; the meters record hit/miss
-    counts.
-
-    [P]/[Pb] are charged for their {e expected} output support — the
-    product of (multiplicity + 1) over the input, computed in O(support) —
-    before anything is materialised, so a hyper-exponential powerset
-    nesting is cut off by the fuel or support budget without allocating
-    the intermediate bag.
+    The expression is {e compiled} to a closure tree before evaluation.
+    Each node runs inside the {!Harness} wrapper shared with {!Veval}
+    (fuel, observation, telemetry, trace events); what is this engine's
+    own is the boxed data path, the parallel regions, and the memo table:
+    operator nodes whose free variables are all {e stable} (not bound by a
+    MAP/σ binder applied per element, nor by a fixpoint binder that
+    changes every iteration) are backed by a memo table keyed by (node id,
+    fingerprint of the free-var bindings).  [Fix]/[BFix] iteration and
+    repeated [Let]-bound subqueries then hit cache instead of
+    re-evaluating; the meters record hit/miss counts.
 
     The evaluator also carries {e meters} recording the largest
     intermediate bag support and multiplicity seen; the complexity
@@ -54,24 +49,9 @@ let limits_of_config c =
     max_fix_steps = c.max_fix_steps;
   }
 
-type meters = {
-  mutable max_support_seen : int;
-  mutable max_count_seen : Bignat.t;
-  mutable max_cardinal_seen : Bignat.t;
-  mutable ops : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
-}
+type meters = Harness.meters
 
-let fresh_meters () =
-  {
-    max_support_seen = 0;
-    max_count_seen = Bignat.zero;
-    max_cardinal_seen = Bignat.zero;
-    ops = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-  }
+let fresh_meters = Harness.fresh_meters
 
 module Env = Map.Make (String)
 
@@ -80,114 +60,10 @@ type env = Value.t Env.t
 let env_of_list l = List.fold_left (fun m (x, v) -> Env.add x v m) Env.empty l
 
 (* ------------------------------------------------------------------ *)
-(* Compilation to closures: budget governance, telemetry spans,
-   memoisation of stable operator nodes, and parallel execution. *)
+(* Compilation to closures under the shared {!Harness}: memoisation of
+   stable operator nodes, and parallel execution. *)
 
-type state = {
-  budget : Budget.t;  (** shared across domains; accounts are atomic *)
-  meters : meters;  (** owned by this state; merged at parallel joins *)
-  run_id : int;  (** keys the per-domain memo tables *)
-  telemetry : Telemetry.t option;  (** the sink, when one is attached *)
-  shard : Telemetry.shard option;
-      (** [Some] inside a parallel task: records land in the task's own
-          shard and merge into the parent at the join *)
-  pool : Pool.t option;
-  mutable obs_cell : int ref;
-      (** fuel charged to the {e currently executing} node, for the trace
-          exporter: each traced node invocation installs a fresh cell and
-          its end event reports the cell's total, so summing the [steps]
-          arg over all end events reproduces the spent fuel exactly (the
-          trace-side mirror of the telemetry steps == fuel invariant).
-          The cell is dynamically scoped — states are domain-private, so
-          a plain ref suffices. *)
-}
-
-(* Attribution of one compiled node: its preorder id, operator label, and
-   (when a sink is attached) its telemetry span. *)
-type att = { id : int; op : string; sp : Telemetry.span option }
-
-(* The span to record into for this state: the registered tree span on the
-   main domain, the task's shard span inside a parallel task. *)
-let span_of st att sp_main =
-  match st.shard with
-  | None -> sp_main
-  | Some sh -> Telemetry.shard_span sh ~id:att.id ~op:att.op
-
-(* Injection site (see fault.mli): a fault at the evaluator's fuel-charge
-   boundary — the finest-grained place evaluation can die — published as a
-   located [Injected] verdict at the charging node.  The check precedes
-   the telemetry mirror so a firing site records no steps it did not pay
-   fuel for. *)
-let step_site = Fault.register "eval.step"
-
-(* Every unit of fuel charged to the governor is mirrored into the node's
-   span (or its shard counterpart), so the span tree's total step count
-   always equals the spent fuel after shards merge (the --stats invariant,
-   tested in test_budget.ml and test_parallel.ml). *)
-let spend st att n =
-  if Fault.fire step_site then
-    Budget.exceeded st.budget Budget.Injected ~node:att.id
-      ~op:(Fault.name step_site)
-      ~spent:(Budget.fuel_spent st.budget) ~limit:0;
-  (match att.sp with
-  | Some sp -> Telemetry.add_steps (span_of st att sp) n
-  | None -> ());
-  (* Mirror into the trace accumulator before [charge] can raise, for the
-     same reason the telemetry mirror precedes it: the charge that trips
-     the account must still appear in the exported steps. *)
-  st.obs_cell := !(st.obs_cell) + n;
-  Budget.charge st.budget ~node:att.id ~op:att.op n
-
-(* Meter the result, enforce the per-value budgets, and charge fuel
-   proportional to the materialised support. *)
-let observe st att v =
-  let m = st.meters in
-  m.ops <- m.ops + 1;
-  (match Value.view v with
-  | Value.Bag pairs ->
-      (* One walk for all three measures; the cardinal stays in machine
-         arithmetic until a count (or the sum) leaves [int] range. *)
-      let support = ref 0 in
-      let mc = ref Bignat.zero in
-      let icard = ref 0 in
-      List.iter
-        (fun (_, c) ->
-          incr support;
-          if Bignat.compare c !mc > 0 then mc := c;
-          if !icard >= 0 then
-            icard :=
-              (match Bignat.to_int_opt c with
-              | Some n ->
-                  let s = !icard + n in
-                  if s < 0 then -1 else s
-              | None -> -1))
-        pairs;
-      let support = !support and mc = !mc in
-      if support > m.max_support_seen then m.max_support_seen <- support;
-      Budget.check_support st.budget ~node:att.id ~op:att.op support;
-      if Bignat.compare mc m.max_count_seen > 0 then begin
-        m.max_count_seen <- mc;
-        Budget.check_count_digits st.budget ~node:att.id ~op:att.op
-          (Bignat.digits mc)
-      end;
-      let card =
-        if !icard >= 0 then Bignat.of_int !icard else Value.cardinal v
-      in
-      if Bignat.compare card m.max_cardinal_seen > 0 then
-        m.max_cardinal_seen <- card;
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      (match att.sp with
-      | Some sp -> Telemetry.record_result (span_of st att sp) ~support ~size
-      | None -> ());
-      spend st att support
-  | Value.Atom _ | Value.Tuple _ -> (
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      match att.sp with
-      | Some sp -> Telemetry.record_result (span_of st att sp) ~support:0 ~size
-      | None -> ()));
-  v
+type state = Harness.state
 
 (* Keep the table from growing without bound inside huge fixpoints; a reset
    loses cached work but never correctness. *)
@@ -203,7 +79,7 @@ type memo_tbl = (int * int, (Value.t option list * Value.t) list ref) Hashtbl.t
 let memo_slot : (int ref * memo_tbl) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (ref (-1), Hashtbl.create 256))
 
-let memo_table st : memo_tbl =
+let memo_table (st : state) : memo_tbl =
   let rid, tbl = Domain.DLS.get memo_slot in
   if !rid <> st.run_id then begin
     rid := st.run_id;
@@ -229,15 +105,13 @@ let fingerprint vals =
 
 type compiled = state -> env -> Value.t
 
-type reg = { ctr : int ref; telemetry : Telemetry.t option }
-
 (* ------------------------------------------------------------------ *)
 (* Parallel regions. *)
 
-let par_pool st =
+let par_pool (st : state) =
   match st.pool with Some p when Pool.jobs p > 1 -> Some p | _ -> None
 
-let merge_meters dst src =
+let merge_meters (dst : meters) (src : meters) =
   if src.max_support_seen > dst.max_support_seen then
     dst.max_support_seen <- src.max_support_seen;
   if Bignat.compare src.max_count_seen dst.max_count_seen > 0 then
@@ -293,7 +167,7 @@ let par_run (st : state) p (tasks : (state -> 'a) list) : 'a list =
   in
   let results = Pool.run p (List.map snd children) in
   List.iter
-    (fun (c, _) ->
+    (fun ((c : state), _) ->
       merge_meters st.meters c.meters;
       match c.shard with
       | None -> ()
@@ -328,96 +202,13 @@ let par_run (st : state) p (tasks : (state -> 'a) list) : 'a list =
   | None ->
       List.map (function Ok v -> v | Error _ -> assert false) results
 
-(* An expected output beyond [int] range (reported as a saturated
-   [max_int]) is impossible to materialise whatever the limits: a located
-   [Support] verdict, the structured replacement for the old ad-hoc
-   [Bag.Too_large] escape. *)
-let too_large st att =
-  let limit = (Budget.limits st.budget).Budget.max_support in
-  Budget.exceeded st.budget Budget.Support ~node:att.id ~op:att.op
-    ~spent:max_int ~limit
-
-(* Charge a power operator for its expected output before materialising
-   anything: a hyper-exponential [P(P(...))] tower dies here, on the fuel
-   or support account, without allocating the intermediate bag.  After
-   this guard passes, the (unguarded) kernel cannot overflow. *)
-let power_guard st att b =
-  let n = Bag.expected_subbags b in
-  if n = max_int then too_large st att;
-  Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-  Budget.check_support st.budget ~node:att.id ~op:att.op n;
-  spend st att n
-
 (* [volatile] holds the binders whose bindings change per element or per
    fixpoint iteration; nodes mentioning them would only churn the table. *)
 let rec compile reg ~parent volatile e : compiled =
-  incr reg.ctr;
-  let id = !(reg.ctr) in
-  let op = Expr.op_name e in
-  let sp =
-    match reg.telemetry with
-    | Some t -> Some (Telemetry.register t ~parent ~id ~op)
-    | None -> None
-  in
-  let att = { id; op; sp } in
-  let raw = compile_node reg ~att volatile e in
+  let att = Harness.attribute reg ~parent e in
   let invoke =
-    match sp with
-    | None ->
-        fun st env ->
-          spend st att 1;
-          observe st att (raw st env)
-    | Some sp_main ->
-        (* Inclusive wall time and allocation per span; only paid when a
-           telemetry sink is attached.  The span is resolved per call: the
-           registered tree span on the main domain, the task shard inside
-           a parallel region. *)
-        fun st env ->
-          spend st att 1;
-          let sp = span_of st att sp_main in
-          sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
-          let t0 = Unix.gettimeofday () in
-          let a0 = Gc.allocated_bytes () in
-          let finish () =
-            sp.Telemetry.time_s <-
-              sp.Telemetry.time_s +. (Unix.gettimeofday () -. t0);
-            sp.Telemetry.alloc_words <-
-              sp.Telemetry.alloc_words
-              +. ((Gc.allocated_bytes () -. a0)
-                 /. float (Sys.word_size / 8))
-          in
-          (match raw st env with
-          | v ->
-              finish ();
-              observe st att v
-          | exception exn ->
-              finish ();
-              raise exn)
-  in
-  (* Trace events per invocation, only when capture is on: a begin event,
-     a fresh self-steps cell for the duration, and an end event carrying
-     the fuel this node (not its children) charged — balanced on the
-     exception path too, so an exhausted or faulted run still exports a
-     well-formed trace.  Disarmed cost: the one [Obs.on] load + branch. *)
-  let invoke st env =
-    if not (Obs.on ()) then invoke st env
-    else begin
-      if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id) ];
-      let saved = st.obs_cell in
-      let cell = ref 0 in
-      st.obs_cell <- cell;
-      let close () =
-        st.obs_cell <- saved;
-        if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id); ("steps", Obs.Int !cell) ]
-      in
-      match invoke st env with
-      | v ->
-          close ();
-          v
-      | exception exn ->
-          close ();
-          raise exn
-    end
+    Harness.node att ~observe:Harness.observe_value
+      (compile_node reg ~att volatile e)
   in
   let memoisable =
     match e with
@@ -430,13 +221,13 @@ let rec compile reg ~parent volatile e : compiled =
     let fv = Expr.Vars.elements (Expr.free_vars e) in
     fun st env ->
       let vals = List.map (fun x -> Env.find_opt x env) fv in
-      let key = (id, fingerprint vals) in
+      let key = (att.id, fingerprint vals) in
       let hit r =
         st.meters.memo_hits <- st.meters.memo_hits + 1;
-        spend st att 1;
-        (match sp with
+        Harness.spend st att 1;
+        (match att.sp with
         | Some sp_main ->
-            let sp = span_of st att sp_main in
+            let sp = Harness.span_of st att sp_main in
             sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
             Telemetry.record_memo_hit sp
         | None -> ());
@@ -444,8 +235,8 @@ let rec compile reg ~parent volatile e : compiled =
       in
       let compute () =
         st.meters.memo_misses <- st.meters.memo_misses + 1;
-        (match sp with
-        | Some sp_main -> Telemetry.record_memo_miss (span_of st att sp_main)
+        (match att.sp with
+        | Some sp_main -> Telemetry.record_memo_miss (Harness.span_of st att sp_main)
         | None -> ());
         invoke st env
       in
@@ -524,13 +315,13 @@ and compile_node reg ~att volatile e : compiled =
       let c = sub e in
       fun st env ->
         let b = c st env in
-        power_guard st att b;
+        Harness.power_guard st att b;
         Bag.powerset b
   | Expr.Powerbag e ->
       let c = sub e in
       fun st env ->
         let b = c st env in
-        power_guard st att b;
+        Harness.power_guard st att b;
         Bag.powerbag b
   | Expr.Destroy e ->
       let c = sub e in
@@ -629,128 +420,33 @@ and compile_node reg ~att volatile e : compiled =
       fun st env -> cbody st (Env.add x (c st env) env)
   | Expr.Fix (x, body, seed) ->
       let cbody = under x body and cseed = sub seed in
-      fun st env -> iterate st att env ~x ~cbody ~bound:None (cseed st env)
+      fun st env ->
+        Harness.iterate st att ~bound:None
+          ~step:(fun cur -> cbody st (Env.add x cur env))
+          (cseed st env)
   | Expr.BFix (bound, x, body, seed) ->
       let cbound = sub bound and cbody = under x body and cseed = sub seed in
       fun st env ->
         let bound = cbound st env in
-        iterate st att env ~x ~cbody ~bound:(Some bound) (cseed st env)
-
-(* Inflationary iteration: X ↦ (body(X) ∪ X) [∩ bound].  With a bound the
-   chain is increasing and bounded, hence terminating; without one the step
-   budget applies (BALG + IFP is Turing complete, Thm 6.6).  The stability
-   check benefits from the hash tags: unequal iterates refute in O(1). *)
-and iterate st att env ~x ~cbody ~bound current =
-  let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
-  let rec go steps current =
-    Budget.check_fix_steps st.budget ~node:att.id ~op:att.op steps;
-    Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-    let stepped = cbody st (Env.add x current env) in
-    let next = clamp (Bag.union_max stepped current) in
-    if Value.equal next current then current else go (steps + 1) next
-  in
-  go 0 (clamp current)
+        Harness.iterate st att ~bound:(Some bound)
+          ~step:(fun cur -> cbody st (Env.add x cur env))
+          (cseed st env)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-(* Distinct run ids recycle the per-domain memo tables between runs. *)
-let run_ids = Atomic.make 1
-
-let m_runs = Metrics.counter Metrics.default "balg_eval_runs_total"
-    ~help:"Evaluations started"
-
-let m_ok = Metrics.counter Metrics.default "balg_eval_ok_total"
-    ~help:"Evaluations that returned a value"
-
-let m_verdicts = Metrics.counter Metrics.default "balg_eval_verdicts_total"
-    ~help:"Evaluations that ended in a structured exhaustion verdict"
-
-let m_fuel = Metrics.histogram Metrics.default "balg_eval_fuel"
-    ~help:"Fuel spent per evaluation"
-
-let m_run_ns = Metrics.histogram Metrics.default "balg_eval_run_ns"
-    ~help:"Wall time per evaluation in nanoseconds"
-
-let m_peak_support = Metrics.histogram Metrics.default
-    "balg_eval_peak_support"
-    ~help:"Largest intermediate bag support per evaluation"
-
-(* Close the run's trace span and record its metrics — on every exit path,
-   verdicts included: the final instant event carries the outcome and the
-   spent fuel, which is what scripts/check_trace.sh reconciles against the
-   per-node step counts. *)
-let finish_run st t0 outcome_args =
-  Metrics.observe m_fuel (Budget.fuel_spent st.budget);
-  Metrics.observe m_run_ns
-    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-  Metrics.observe m_peak_support st.meters.max_support_seen;
-  if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"run" ~args:[ ("steps", Obs.Int !(st.obs_cell)) ];
-  if Obs.on () then Obs.emit Obs.I ~cat:"eval" ~name:"done" ~args:(("fuel", Obs.Int (Budget.fuel_spent st.budget)) :: outcome_args)
-
-let verdict_args (x : Budget.exhaustion) =
-  [
-    ("outcome", Obs.Str "verdict");
-    ("resource", Obs.Str (Budget.resource_to_string x.Budget.resource));
-    ("node", Obs.Int x.Budget.at_node);
-    ("op", Obs.Str x.Budget.op);
-  ]
+(* Distinct run ids (the family's counter) recycle the per-domain memo
+   tables between runs. *)
+let family =
+  Harness.family ~prefix:"balg_eval" ~noun:"evaluation" ~peak_support:true ()
 
 let run ?budget ?limits ?meters ?telemetry ?pool env e =
-  let budget =
-    match (budget, limits) with
-    | Some b, _ -> b
-    | None, Some l -> Budget.start l
-    | None, None -> Budget.start Budget.default
+  let budget = Harness.budget ?budget ?limits () in
+  let compiled =
+    compile (Harness.registry telemetry) ~parent:0 Expr.Vars.empty e
   in
-  let meters = match meters with Some m -> m | None -> fresh_meters () in
-  let compiled = compile { ctr = ref 0; telemetry } ~parent:0 Expr.Vars.empty e in
-  let st =
-    {
-      budget;
-      meters;
-      run_id = Atomic.fetch_and_add run_ids 1;
-      telemetry;
-      shard = None;
-      pool;
-      obs_cell = ref 0;
-    }
-  in
-  Metrics.incr m_runs;
-  let t0 = Unix.gettimeofday () in
-  if Obs.on () then Obs.set_trace_id st.run_id;
-  if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"run" ~args:[ ("run", Obs.Int st.run_id); ("size", Obs.Int (Expr.size e)) ];
-  match compiled st env with
-  | v ->
-      Metrics.incr m_ok;
-      finish_run st t0 [ ("outcome", Obs.Str "ok") ];
-      Ok v
-  | exception Budget.Budget_exceeded x ->
-      (* Under parallel evaluation the propagated exception is whichever
-         domain's raise won the race; the published verdict is kept at the
-         smallest node id, so report that one. *)
-      let x = match Budget.verdict budget with Some y -> y | None -> x in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      Error x
-  | exception Fault.Injected site ->
-      (* An injected failure below the evaluator's attribution (a kernel
-         allocation point, a pool task): structured verdict at node 0 —
-         "before/outside any node" — carrying the site name.  The faults
-         the evaluator can locate (eval.step) arrive as Budget_exceeded
-         above instead. *)
-      let x =
-        { Budget.resource = Budget.Injected; at_node = 0; op = site;
-          spent = 0; limit = 0 }
-      in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      Error x
-  | exception exn ->
-      (* A caller bug (Eval_error, ...) still closes the trace span before
-         propagating, so the export stays balanced. *)
-      finish_run st t0 [ ("outcome", Obs.Str "exception") ];
-      raise exn
+  Harness.run family ~budget ?meters ?telemetry ?pool ~size:(Expr.size e)
+    (fun st -> compiled st env)
 
 let eval ?(config = default_config) ?meters ?pool env e =
   match run ~limits:(limits_of_config config) ?meters ?pool env e with

@@ -29,16 +29,7 @@ val limits_of_config : config -> Budget.limits
 (** The legacy three-knob guard as governor limits (fuel, size and
     deadline unlimited). *)
 
-type meters = {
-  mutable max_support_seen : int;
-  mutable max_count_seen : Bignat.t;
-  mutable max_cardinal_seen : Bignat.t;
-  mutable ops : int;
-  mutable memo_hits : int;
-      (** stable subexpressions answered from the memo table *)
-  mutable memo_misses : int;
-      (** memoisable subexpressions that had to be computed *)
-}
+type meters = Harness.meters
 
 val fresh_meters : unit -> meters
 

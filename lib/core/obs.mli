@@ -24,7 +24,7 @@
     wall-clock step.
 
     {b Trace ids.}  Every evaluation gets a trace id ({!set_trace_id},
-    wired to [Eval]'s run id); events record it as the Chrome [pid], and
+    wired to the engine's run id); events record it as the Chrome [pid], and
     the emitting domain as the [tid] — in Perfetto a traced [--jobs N]
     run renders as one process with a lane per domain.  A long-lived
     server instead {e pins} one trace id ({!pin_trace_id}) so concurrent

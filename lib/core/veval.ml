@@ -1,25 +1,21 @@
 (** The vectorized execution engine.
 
-    Compilation mirrors {!Eval}: every AST node becomes a closure with a
-    stable preorder id (the attribution key shared with the governor and
-    the telemetry span tree), charged one unit of fuel per invocation plus
-    the materialised support of its result.  The difference is the value
-    representation: nodes exchange {e hybrid} values that are lazily
-    convertible between the boxed {!Value.t} world and the columnar
-    {!Vec.t} world, each direction memoised so a representation is built
-    at most once per node result.  Kernel-capable nodes run the {!Vec}
-    kernel when both operands convert; otherwise (or when a kernel raises
-    {!Vec.Unsupported} on an awkward shape) they demote to the exact tree
-    data path for that subtree — recorded in the execution plan as
-    [tree (fallback)] so coverage is visible in [balgi explain].
+    Compilation mirrors {!Eval}, and every node runs inside the same
+    {!Harness} wrapper; the difference is the value representation: nodes
+    exchange {e hybrid} values that are lazily convertible between the
+    boxed {!Value.t} world and the columnar {!Vec.t} world, each direction
+    memoised so a representation is built at most once per node result.
+    Kernel-capable nodes run the {!Vec} kernel when both operands convert;
+    otherwise (or when a kernel raises {!Vec.Unsupported} on an awkward
+    shape) they demote to the exact tree data path for that subtree —
+    recorded in the execution plan as [tree (fallback)] so coverage is
+    visible in [balgi explain].
 
     Budget parity: the support, count-digit, fixpoint and deadline
     accounts are enforced on vec results too (support against the
     coalesced row count, digits against the count column), so tight
     budgets exhaust under either engine; only the fuel {e amounts} differ
-    because vec charges per row batch.  The steps == fuel trace invariant
-    is preserved: every unit charged lands in the innermost traced node's
-    cell exactly as in {!Eval}.
+    because vec charges per row batch.
 
     Parallelism lives {e inside} the kernels ({!Vec.product} /
     {!Vec.select_scalar} chunk contiguous row ranges over the pool);
@@ -106,98 +102,20 @@ type henv = hv Env.t
 let lift_env (env : Eval.env) : henv = Env.map of_val env
 
 (* ------------------------------------------------------------------ *)
-(* Governance: the same fuel / observation discipline as Eval, minus the
-   machinery this engine does not use (shards, memo tables). *)
-
-type state = {
-  budget : Budget.t;
-  meters : Eval.meters;
-  pool : Pool.t option;
-  mutable obs_cell : int ref;
-      (** fuel charged to the currently executing node, mirrored into the
-          trace end events exactly as in {!Eval} *)
-}
-
-type att = { id : int; op : string; sp : Telemetry.span option }
-
-(* Shared with Eval: one registered site, one chaos knob for both
-   engines' fuel-charge boundary ([Fault.register] is idempotent). *)
-let step_site = Fault.register "eval.step"
-
-let spend st att n =
-  if Fault.fire step_site then
-    Budget.exceeded st.budget Budget.Injected ~node:att.id
-      ~op:(Fault.name step_site)
-      ~spent:(Budget.fuel_spent st.budget) ~limit:0;
-  (match att.sp with
-  | Some sp -> Telemetry.add_steps sp n
-  | None -> ());
-  (* Mirror into the trace accumulator before [charge] can raise: the
-     charge that trips the account must still appear in exported steps. *)
-  st.obs_cell := !(st.obs_cell) + n;
-  Budget.charge st.budget ~node:att.id ~op:att.op n
-
-(* Boxed results: Eval's observation verbatim — one walk for support /
-   max count / cardinal, the per-value budget checks, fuel proportional
-   to the materialised support. *)
-let observe_value st att v =
-  let m = st.meters in
-  (match Value.view v with
-  | Value.Bag pairs ->
-      let support = ref 0 in
-      let mc = ref Bignat.zero in
-      let icard = ref 0 in
-      List.iter
-        (fun (_, c) ->
-          incr support;
-          if Bignat.compare c !mc > 0 then mc := c;
-          if !icard >= 0 then
-            icard :=
-              (match Bignat.to_int_opt c with
-              | Some n ->
-                  let s = !icard + n in
-                  if s < 0 then -1 else s
-              | None -> -1))
-        pairs;
-      let support = !support and mc = !mc in
-      if support > m.Eval.max_support_seen then m.Eval.max_support_seen <- support;
-      Budget.check_support st.budget ~node:att.id ~op:att.op support;
-      if Bignat.compare mc m.Eval.max_count_seen > 0 then begin
-        m.Eval.max_count_seen <- mc;
-        Budget.check_count_digits st.budget ~node:att.id ~op:att.op
-          (Bignat.digits mc)
-      end;
-      let card =
-        if !icard >= 0 then Bignat.of_int !icard else Value.cardinal v
-      in
-      if Bignat.compare card m.Eval.max_cardinal_seen > 0 then
-        m.Eval.max_cardinal_seen <- card;
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      (match att.sp with
-      | Some sp -> Telemetry.record_result sp ~support ~size
-      | None -> ());
-      spend st att support
-  | Value.Atom _ | Value.Tuple _ -> (
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      match att.sp with
-      | Some sp -> Telemetry.record_result sp ~support:0 ~size
-      | None -> ()))
-
-(* Columnar results: the row count bounds the distinct support from
+(* Observation of columnar results (boxed ones go through
+   {!Harness.observe_value}): the row count bounds the distinct support from
    above, so it stands in for the support account; when it alone would
    trip the limit the vector is coalesced first and the exact distinct
    count re-checked, keeping verdicts aligned with the tree engine.  The
    count-digit account is enforced against the count column; the
    encoded-size account is not (no cheap columnar analogue) — size-bound
    workloads run the tree engine. *)
-let observe_vec st att x =
+let observe_vec (st : Harness.state) (att : Harness.att) x =
   let m = st.meters in
   let lim = (Budget.limits st.budget).Budget.max_support in
   let x = if Vec.rows x > lim then Vec.coalesce x else x in
   let support = Vec.rows x in
-  if support > m.Eval.max_support_seen then m.Eval.max_support_seen <- support;
+  if support > m.max_support_seen then m.max_support_seen <- support;
   Budget.check_support st.budget ~node:att.id ~op:att.op support;
   if support > 0 then
     Budget.check_count_digits st.budget ~node:att.id ~op:att.op
@@ -205,30 +123,16 @@ let observe_vec st att x =
   (match att.sp with
   | Some sp -> Telemetry.record_result sp ~support ~size:0
   | None -> ());
-  spend st att support;
+  Harness.spend st att support;
   x
 
 let observe_hv st att h =
-  st.meters.Eval.ops <- st.meters.Eval.ops + 1;
   (match (h.hval, h.hvec) with
   | None, VYes x ->
       (* vec-resident result: observe columns, keep any coalescing *)
       h.hvec <- VYes (observe_vec st att x)
-  | _ -> observe_value st att (as_value h));
+  | _ -> ignore (Harness.observe_value st att (as_value h)));
   h
-
-(* Eval's pre-materialisation escapes, verbatim. *)
-let too_large st att =
-  let limit = (Budget.limits st.budget).Budget.max_support in
-  Budget.exceeded st.budget Budget.Support ~node:att.id ~op:att.op
-    ~spent:max_int ~limit
-
-let power_guard st att b =
-  let n = Bag.expected_subbags b in
-  if n = max_int then too_large st att;
-  Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-  Budget.check_support st.budget ~node:att.id ~op:att.op n;
-  spend st att n
 
 (* ------------------------------------------------------------------ *)
 (* Scalar-program extraction: the MAP/σ bodies the kernels can run
@@ -268,83 +172,31 @@ let is_proj = function
 (* ------------------------------------------------------------------ *)
 (* Compilation. *)
 
-type compiled = state -> henv -> hv
-
-type reg = { ctr : int ref; telemetry : Telemetry.t option }
+type compiled = Harness.state -> henv -> hv
 
 let demote pn = pn.p_engine <- "tree (fallback)"
 
+(* Inflationary iteration on boxed iterates (the stability check needs
+   canonical values); the body itself still vectorizes internally. *)
+let fixpoint st att env ~x ~(cbody : compiled) ~bound seed =
+  Harness.iterate st att ~bound
+    ~step:(fun cur -> as_value (cbody st (Env.add x (of_val cur) env)))
+    (as_value seed)
+
 let rec compile reg ~parent e : compiled * plan =
-  incr reg.ctr;
-  let id = !(reg.ctr) in
-  let op = Expr.op_name e in
-  let sp =
-    match reg.telemetry with
-    | Some t -> Some (Telemetry.register t ~parent ~id ~op)
-    | None -> None
+  let att = Harness.attribute reg ~parent e in
+  let pn =
+    { p_id = att.id; p_op = att.op; p_engine = "tree"; p_children = [] }
   in
-  let att = { id; op; sp } in
-  let pn = { p_id = id; p_op = op; p_engine = "tree"; p_children = [] } in
   let kids = ref [] in
   let sub e =
-    let c, k = compile reg ~parent:id e in
+    let c, k = compile reg ~parent:att.id e in
     kids := k :: !kids;
     c
   in
   let raw = compile_node ~att ~pn ~sub e in
   pn.p_children <- List.rev !kids;
-  let invoke =
-    match sp with
-    | None ->
-        fun st env ->
-          spend st att 1;
-          observe_hv st att (raw st env)
-    | Some sp ->
-        (* Inclusive wall time and allocation per span, as in Eval. *)
-        fun st env ->
-          spend st att 1;
-          sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
-          let t0 = Unix.gettimeofday () in
-          let a0 = Gc.allocated_bytes () in
-          let finish () =
-            sp.Telemetry.time_s <-
-              sp.Telemetry.time_s +. (Unix.gettimeofday () -. t0);
-            sp.Telemetry.alloc_words <-
-              sp.Telemetry.alloc_words
-              +. ((Gc.allocated_bytes () -. a0) /. float (Sys.word_size / 8))
-          in
-          (match raw st env with
-          | h ->
-              finish ();
-              observe_hv st att h
-          | exception exn ->
-              finish ();
-              raise exn)
-  in
-  (* Per-invocation trace events with a fresh self-steps cell, balanced on
-     the exception path — Eval's discipline, so a traced vec run satisfies
-     check_trace.sh's steps == fuel reconciliation. *)
-  let invoke st env =
-    if not (Obs.on ()) then invoke st env
-    else begin
-      if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id) ];
-      let saved = st.obs_cell in
-      let cell = ref 0 in
-      st.obs_cell <- cell;
-      let close () =
-        st.obs_cell <- saved;
-        if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id); ("steps", Obs.Int !cell) ]
-      in
-      match invoke st env with
-      | h ->
-          close ();
-          h
-      | exception exn ->
-          close ();
-          raise exn
-    end
-  in
-  (invoke, pn)
+  (Harness.node att ~observe:observe_hv raw, pn)
 
 and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
   let error fmt =
@@ -371,9 +223,9 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
           demote pn;
           of_val (tkernel st (as_value ha) (as_value hb))
   in
-  (* Unary bag operators, same shape. *)
-  let vun label e0 vkernel tkernel =
-    let c = sub e0 in
+  (* Unary bag operators, same shape; the tree kernel also gets the state
+     and environment a MAP/σ body needs. *)
+  let vun label c vkernel tkernel =
     pn.p_engine <- label;
     fun st env ->
       let h = c st env in
@@ -383,10 +235,10 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
           | r -> of_vec r
           | exception Vec.Unsupported _ ->
               demote pn;
-              of_val (tkernel (as_value h)))
+              of_val (tkernel st env (as_value h)))
       | None ->
           demote pn;
-          of_val (tkernel (as_value h))
+          of_val (tkernel st env (as_value h))
   in
   match e with
   | Expr.Var x -> (
@@ -446,7 +298,7 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
             else (xa, xb)
           in
           let n = Vec.expected_product_rows xa xb in
-          if n = max_int then too_large st att;
+          if n = max_int then Harness.too_large st att;
           Budget.check_support st.budget ~node:att.id ~op:att.op n;
           Vec.product ?pool:st.pool xa xb)
         (fun st va vb -> Bag.product ?pool:st.pool va vb)
@@ -461,72 +313,58 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       let c = sub e0 in
       fun st env ->
         let b = as_value (c st env) in
-        power_guard st att b;
+        Harness.power_guard st att b;
         of_val (Bag.powerset b)
   | Expr.Powerbag e0 ->
       let c = sub e0 in
       fun st env ->
         let b = as_value (c st env) in
-        power_guard st att b;
+        Harness.power_guard st att b;
         of_val (Bag.powerbag b)
   | Expr.Destroy e0 ->
-      vun "vec:destroy" e0 (fun _st x -> Vec.destroy x) Bag.destroy
+      vun "vec:destroy" (sub e0) (fun _ -> Vec.destroy) (fun _ _ -> Bag.destroy)
   | Expr.Map (x, body, e0) -> (
       let cbody = sub body in
       let c = sub e0 in
-      let tree_map st env h =
-        Bag.map
-          (fun v -> as_value (cbody st (Env.add x (of_val v) env)))
-          (as_value h)
+      let tree_map st env b =
+        Bag.map (fun v -> as_value (cbody st (Env.add x (of_val v) env))) b
       in
       match scalar_of x body with
       | Some s ->
-          pn.p_engine <- (if is_proj s then "vec:proj" else "vec:map");
-          fun st env -> (
-            let h = c st env in
-            match as_vec h with
-            | Some xv -> (
-                match Vec.map_scalar s xv with
-                | r -> of_vec r
-                | exception Vec.Unsupported _ ->
-                    demote pn;
-                    of_val (tree_map st env h))
-            | None ->
-                demote pn;
-                of_val (tree_map st env h))
-      | None -> fun st env -> of_val (tree_map st env (c st env)))
+          vun
+            (if is_proj s then "vec:proj" else "vec:map")
+            c
+            (fun _st xv -> Vec.map_scalar s xv)
+            tree_map
+      | None -> fun st env -> of_val (tree_map st env (as_value (c st env))))
   | Expr.Select (x, l, r, e0) -> (
       let cl = sub l in
       let cr = sub r in
       let c = sub e0 in
-      let tree_select st env h =
+      let tree_select st env b =
         Bag.select
           (fun v ->
             let env' = Env.add x (of_val v) env in
             Value.equal (as_value (cl st env')) (as_value (cr st env')))
-          (as_value h)
+          b
       in
       match (scalar_of x l, scalar_of x r) with
       | Some sl, Some sr ->
-          pn.p_engine <- "vec:select";
-          fun st env -> (
-            let h = c st env in
-            match as_vec h with
-            | Some xv -> (
-                match Vec.select_scalar ?pool:st.pool sl sr xv with
-                | r -> of_vec r
-                | exception Vec.Unsupported _ ->
-                    demote pn;
-                    of_val (tree_select st env h))
-            | None ->
-                demote pn;
-                of_val (tree_select st env h))
-      | _ -> fun st env -> of_val (tree_select st env (c st env)))
-  | Expr.Dedup e0 -> vun "vec:dedup" e0 (fun _st x -> Vec.dedup x) Bag.dedup
+          vun "vec:select" c
+            (fun st xv -> Vec.select_scalar ?pool:st.pool sl sr xv)
+            tree_select
+      | _ ->
+          fun st env -> of_val (tree_select st env (as_value (c st env))))
+  | Expr.Dedup e0 ->
+      vun "vec:dedup" (sub e0) (fun _ -> Vec.dedup) (fun _ _ -> Bag.dedup)
   | Expr.Nest (ixs, e0) ->
-      vun "vec:nest" e0 (fun _st x -> Vec.nest ixs x) (Bag.nest ixs)
+      vun "vec:nest" (sub e0)
+        (fun _ x -> Vec.nest ixs x)
+        (fun _ _ v -> Bag.nest ixs v)
   | Expr.Unnest (i, e0) ->
-      vun "vec:unnest" e0 (fun _st x -> Vec.unnest i x) (Bag.unnest i)
+      vun "vec:unnest" (sub e0)
+        (fun _ x -> Vec.unnest i x)
+        (fun _ _ v -> Bag.unnest i v)
   | Expr.Let (x, e0, body) ->
       let c = sub e0 in
       let cbody = sub body in
@@ -535,133 +373,40 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       let cbody = sub body in
       let cseed = sub seed in
       fun st env ->
-        of_val
-          (iterate st att env ~x ~cbody ~bound:None
-             (as_value (cseed st env)))
+        of_val (fixpoint st att env ~x ~cbody ~bound:None (cseed st env))
   | Expr.BFix (bound, x, body, seed) ->
       let cbound = sub bound in
       let cbody = sub body in
       let cseed = sub seed in
       fun st env ->
         let b = as_value (cbound st env) in
-        of_val
-          (iterate st att env ~x ~cbody ~bound:(Some b)
-             (as_value (cseed st env)))
-
-(* Inflationary iteration on boxed iterates (the stability check needs
-   canonical values); the body itself still vectorizes internally. *)
-and iterate st att env ~x ~cbody ~bound current =
-  let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
-  let rec go steps current =
-    Budget.check_fix_steps st.budget ~node:att.id ~op:att.op steps;
-    Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-    let stepped = as_value (cbody st (Env.add x (of_val current) env)) in
-    let next = clamp (Bag.union_max stepped current) in
-    if Value.equal next current then current else go (steps + 1) next
-  in
-  go 0 (clamp current)
+        of_val (fixpoint st att env ~x ~cbody ~bound:(Some b) (cseed st env))
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-let run_ids = Atomic.make 1
-
-let m_runs =
-  Metrics.counter Metrics.default "balg_veval_runs_total"
-    ~help:"Vectorized evaluations started"
-
-let m_ok =
-  Metrics.counter Metrics.default "balg_veval_ok_total"
-    ~help:"Vectorized evaluations that returned a value"
-
-let m_verdicts =
-  Metrics.counter Metrics.default "balg_veval_verdicts_total"
-    ~help:"Vectorized evaluations that ended in an exhaustion verdict"
-
-let m_fuel =
-  Metrics.histogram Metrics.default "balg_veval_fuel"
-    ~help:"Fuel spent per vectorized evaluation"
-
-let m_run_ns =
-  Metrics.histogram Metrics.default "balg_veval_run_ns"
-    ~help:"Wall time per vectorized evaluation in nanoseconds"
-
-let finish_run st t0 outcome_args =
-  Metrics.observe m_fuel (Budget.fuel_spent st.budget);
-  Metrics.observe m_run_ns (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-  if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"run" ~args:[ ("steps", Obs.Int !(st.obs_cell)) ];
-  if Obs.on () then Obs.emit Obs.I ~cat:"eval" ~name:"done" ~args:(("fuel", Obs.Int (Budget.fuel_spent st.budget)) :: outcome_args)
-
-let verdict_args (x : Budget.exhaustion) =
-  [
-    ("outcome", Obs.Str "verdict");
-    ("resource", Obs.Str (Budget.resource_to_string x.Budget.resource));
-    ("node", Obs.Int x.Budget.at_node);
-    ("op", Obs.Str x.Budget.op);
-  ]
+let family =
+  Harness.family ~prefix:"balg_veval" ~noun:"vectorized evaluation"
+    ~run_args:[ ("engine", Obs.Str "vec") ]
+    ()
 
 let run ?budget ?limits ?meters ?telemetry ?pool ?report env e =
-  let budget =
-    match (budget, limits) with
-    | Some b, _ -> b
-    | None, Some l -> Budget.start l
-    | None, None -> Budget.start Budget.default
-  in
-  let meters = match meters with Some m -> m | None -> Eval.fresh_meters () in
-  let compiled, plan = compile { ctr = ref 0; telemetry } ~parent:0 e in
-  let st = { budget; meters; pool; obs_cell = ref 0 } in
+  let budget = Harness.budget ?budget ?limits () in
+  let compiled, plan = compile (Harness.registry telemetry) ~parent:0 e in
   let report_plan () = match report with Some f -> f plan | None -> () in
-  let rid = Atomic.fetch_and_add run_ids 1 in
-  Metrics.incr m_runs;
-  let t0 = Unix.gettimeofday () in
-  if Obs.on () then Obs.set_trace_id rid;
-  if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"run" ~args:[ ("run", Obs.Int rid); ("size", Obs.Int (Expr.size e)); ("engine", Obs.Str "vec") ];
-  match as_value (compiled st (lift_env env)) with
-  | v ->
-      Metrics.incr m_ok;
-      finish_run st t0 [ ("outcome", Obs.Str "ok") ];
-      report_plan ();
-      Ok v
-  | exception Budget.Budget_exceeded x ->
-      (* Keep the published verdict (smallest node id) as Eval does. *)
-      let x = match Budget.verdict budget with Some y -> y | None -> x in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      report_plan ();
-      Error x
-  | exception Fault.Injected site ->
-      (* An injected failure below node attribution — vec.alloc at a
-         kernel or boundary allocation: structured verdict at node 0
-         carrying the site name, as in Eval. *)
-      let x =
-        {
-          Budget.resource = Budget.Injected;
-          at_node = 0;
-          op = site;
-          spent = 0;
-          limit = 0;
-        }
-      in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      report_plan ();
-      Error x
-  | exception exn ->
-      finish_run st t0 [ ("outcome", Obs.Str "exception") ];
-      report_plan ();
-      raise exn
-
-let eval ?(config = Eval.default_config) ?meters ?pool env e =
-  match run ~limits:(Eval.limits_of_config config) ?meters ?pool env e with
-  | Ok v -> v
-  | Error x -> raise (Eval.Resource_limit (Budget.exhaustion_to_string x))
+  Fun.protect ~finally:report_plan (fun () ->
+      Harness.run family ~budget ?meters ?telemetry ?pool ~size:(Expr.size e)
+        (fun st -> as_value (compiled st (lift_env env))))
 
 let run_engine engine ?budget ?limits ?meters ?telemetry ?pool env e =
   match engine with
   | Tree -> Eval.run ?budget ?limits ?meters ?telemetry ?pool env e
   | Vec -> run ?budget ?limits ?meters ?telemetry ?pool env e
 
-let eval_engine engine ?config ?meters ?pool env e =
-  match engine with
-  | Tree -> Eval.eval ?config ?meters ?pool env e
-  | Vec -> eval ?config ?meters ?pool env e
+let eval_engine engine ?(config = Eval.default_config) ?meters ?pool env e =
+  let limits = Eval.limits_of_config config in
+  match run_engine engine ~limits ?meters ?pool env e with
+  | Ok v -> v
+  | Error x -> raise (Eval.Resource_limit (Budget.exhaustion_to_string x))
+
+let eval ?config = eval_engine Vec ?config

@@ -5,12 +5,11 @@
     heterogeneous bags) — so every query runs end-to-end under either
     engine.
 
-    The engine threads the same production machinery as {!Eval}: budget
-    fuel charged per kernel batch (the steps == fuel invariant holds per
-    run, checked by [scripts/check_trace.sh] on traces), {!Obs} spans per
-    node invocation, {!Telemetry} per-op counters, a [vec.alloc] {!Fault}
-    site at kernel allocation points, and {!Pool} chunking over contiguous
-    column slices.  Results are bit-identical to {!Eval} — same canonical
+    Every node runs inside the {!Harness} wrapper shared with {!Eval}, so
+    fuel, verdicts, {!Telemetry} and {!Obs} events follow the same code
+    path.  The engine's own are a [vec.alloc] {!Fault} site at kernel
+    allocation points and {!Pool} chunking over contiguous column
+    slices.  Results are bit-identical to {!Eval} — same canonical
     {!Value.t} including multiplicities and hash tags (the differential
     suite in [test/test_veval.ml]).
 

@@ -272,13 +272,15 @@ let handle_eval sv sess ~req q =
   let t_start = Unix.gettimeofday () in
   (* The slow-query log: one JSONL line per eval at or above the
      threshold, carrying everything needed to understand the latency
-     without re-running the query. *)
-  let slow ~outcome ~cache ~plan ~decisions ~engines ~queue_us ~fuel =
+     without re-running the query.  [details] renders the plan, decision
+     and engine strings; it runs only when a line is written. *)
+  let slow ~outcome ~cache ~details ~queue_us ~fuel =
     match sv.slow_oc with
     | None -> ()
     | Some oc ->
         let dur_ms = (Unix.gettimeofday () -. t_start) *. 1e3 in
         if dur_ms >= sv.cfg.slow_ms then
+          let plan, decisions, engines = details () in
           log_line sv oc
             (Printf.sprintf
                "{\"ts\":%.6f,\"session\":%d,\"req\":%d,\"dur_ms\":%.3f,\"query\":%s,\"plan\":%s,\"decisions\":%s,\"engine\":%s,\"cache\":%s,\"queue_us\":%d,\"fuel\":%d,\"outcome\":%s}"
@@ -295,7 +297,8 @@ let handle_eval sv sess ~req q =
       (* snapshot isolation: this request evaluates against the store as
          of now, no matter how many writes land while it waits or runs *)
       let db = Store.snapshot sv.store in
-      match Typecheck.infer (Bagdb.type_env db) e with
+      let tenv = Bagdb.type_env db in
+      match Typecheck.infer tenv e with
       | exception Typecheck.Type_error msg -> "err type: " ^ msg
       | ty -> (
           let ckey, rels =
@@ -303,9 +306,10 @@ let handle_eval sv sess ~req q =
           in
           match Cache.find sv.cache ~key:ckey ~rels with
           | Some (v, ty') ->
-              slow ~outcome:"ok" ~cache:"hit" ~plan:"(cached)" ~decisions:""
-                ~engines:(Veval.engine_to_string sess.s_engine) ~queue_us:0
-                ~fuel:0;
+              slow ~outcome:"ok" ~cache:"hit"
+                ~details:(fun () ->
+                  ("(cached)", "", Veval.engine_to_string sess.s_engine))
+                ~queue_us:0 ~fuel:0;
               Printf.sprintf "ok %s : %s" (Value.to_string v)
                 (Ty.to_string ty')
           | None -> (
@@ -316,8 +320,10 @@ let handle_eval sv sess ~req q =
               let sid = sess.s_id in
               (* plan analytics escape the worker closure through a ref:
                  the executor's result handoff (j_mu/j_cv) orders the
-                 worker's write before this thread's read *)
-              let details = ref ("", "", "") in
+                 worker's write before this thread's read.  They stay
+                 unrendered until the slow log asks for them. *)
+              let no_details () = ("", "", "") in
+              let details = ref no_details in
               let run () =
                 (* worker domain: plan, then evaluate under the armed
                    budget; the request span lands in the worker's own
@@ -331,22 +337,19 @@ let handle_eval sv sess ~req q =
                       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
                     if Obs.on () then Obs.emit Obs.E ~cat:"worker" ~name:"request" ~args:[ ("req", Obs.Int req); ("session", Obs.Int sid); ("outcome", Obs.Str !label) ])
                   (fun () ->
-                    let plan, dec_s =
-                      match
-                        Opt.optimize ~vals:(db_vals db) ~engine mode
-                          (Bagdb.type_env db) e
-                      with
-                      | p, rep ->
-                          ( p,
-                            String.concat " "
-                              (List.map
-                                 (fun d ->
-                                   d.Opt.d_rule
-                                   ^ if d.Opt.d_accepted then "+" else "-")
-                                 rep.Opt.r_decisions) )
-                      | exception _ -> (e, "planning-failed")
+                    (* [Off] plans are the input itself with no decisions:
+                       skip the optimizer's cost and property passes *)
+                    let plan, decisions =
+                      match mode with
+                      | Opt.Off -> (e, Some [])
+                      | Opt.Rules | Opt.Cost -> (
+                          match
+                            Opt.optimize ~vals:(db_vals db) ~engine mode tenv e
+                          with
+                          | p, rep -> (p, Some rep.Opt.r_decisions)
+                          | exception _ -> (e, None))
                     in
-                    let labels = ref (Veval.engine_to_string engine) in
+                    let executed = ref None in
                     let env = Bagdb.value_env db in
                     let outcome =
                       match
@@ -355,8 +358,7 @@ let handle_eval sv sess ~req q =
                             Veval.run_engine Veval.Tree ~budget env plan
                         | Veval.Vec ->
                             Veval.run ~budget
-                              ~report:(fun p ->
-                                labels := one_line (Veval.plan_to_string p))
+                              ~report:(fun p -> executed := Some p)
                               env plan
                       with
                       | Ok v -> `Ok (v, ty)
@@ -364,7 +366,21 @@ let handle_eval sv sess ~req q =
                       | exception Eval.Eval_error msg ->
                           `Fail ("eval: " ^ msg)
                     in
-                    details := (Expr.to_string plan, dec_s, !labels);
+                    (details :=
+                       fun () ->
+                         ( Expr.to_string plan,
+                           (match decisions with
+                           | None -> "planning-failed"
+                           | Some ds ->
+                               String.concat " "
+                                 (List.map
+                                    (fun d ->
+                                      d.Opt.d_rule
+                                      ^ if d.Opt.d_accepted then "+" else "-")
+                                    ds)),
+                           match !executed with
+                           | Some p -> one_line (Veval.plan_to_string p)
+                           | None -> Veval.engine_to_string engine ));
                     (label :=
                        match outcome with
                        | `Ok _ -> "ok"
@@ -375,8 +391,8 @@ let handle_eval sv sess ~req q =
               in
               match Exec.submit sv.exec ~weight ~budget ~run with
               | Error msg ->
-                  slow ~outcome:"busy" ~cache:"miss" ~plan:"" ~decisions:""
-                    ~engines:"" ~queue_us:0 ~fuel:0;
+                  slow ~outcome:"busy" ~cache:"miss" ~details:no_details
+                    ~queue_us:0 ~fuel:0;
                   "err busy: " ^ msg
               | Ok (outcome, st) -> (
                   (* retro-dated queue-wait span: this thread emitted
@@ -386,25 +402,24 @@ let handle_eval sv sess ~req q =
                      together) *)
                   if Obs.on () then Obs.emit Obs.B ~tid:lane ~ts_us:st.Exec.s_enq_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int req) ];
                   if Obs.on () then Obs.emit Obs.E ~tid:lane ~ts_us:st.Exec.s_arm_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int req); ("wait_us", Obs.Int st.Exec.s_queue_us) ];
-                  let plan_s, dec_s, eng_s = !details in
+                  let details = !details in
                   let queue_us = st.Exec.s_queue_us in
                   let fuel = Budget.fuel_spent budget in
                   match outcome with
                   | `Ok (v, ty) ->
                       Cache.add sv.cache ~key:ckey ~rels v ty;
-                      slow ~outcome:"ok" ~cache:"miss" ~plan:plan_s
-                        ~decisions:dec_s ~engines:eng_s ~queue_us ~fuel;
+                      slow ~outcome:"ok" ~cache:"miss" ~details ~queue_us
+                        ~fuel;
                       Printf.sprintf "ok %s : %s" (Value.to_string v)
                         (Ty.to_string ty)
                   | `Verdict x ->
                       slow
                         ~outcome:(Budget.resource_to_string x.Budget.resource)
-                        ~cache:"miss" ~plan:plan_s ~decisions:dec_s
-                        ~engines:eng_s ~queue_us ~fuel;
+                        ~cache:"miss" ~details ~queue_us ~fuel;
                       "verdict " ^ Budget.exhaustion_to_string x
                   | `Fail msg ->
-                      slow ~outcome:"error" ~cache:"miss" ~plan:plan_s
-                        ~decisions:dec_s ~engines:eng_s ~queue_us ~fuel;
+                      slow ~outcome:"error" ~cache:"miss" ~details ~queue_us
+                        ~fuel;
                       "err " ^ msg))))
 
 (* --- writes ---------------------------------------------------------------- *)

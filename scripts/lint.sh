@@ -34,7 +34,7 @@ done
 # pool/kernel/evaluator sources needs a same-line 'domain-local'
 # annotation saying why the table cannot be shared (DLS slot, fresh per
 # call, ...).
-for f in lib/core/pool.ml lib/core/bag.ml lib/core/eval.ml lib/core/vec.ml lib/core/veval.ml; do
+for f in lib/core/pool.ml lib/core/bag.ml lib/core/harness.ml lib/core/eval.ml lib/core/vec.ml lib/core/veval.ml; do
   bad=$(grep -nE '(Hashtbl|VH)\.(add|replace|remove|reset|clear|filter_map_inplace)' "$f" | grep -v 'domain-local' || true)
   if [ -n "$bad" ]; then
     echo "lint: unannotated hash-table mutation in $f (justify with 'domain-local:'):"

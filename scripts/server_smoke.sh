@@ -126,4 +126,33 @@ while kill -0 "$pid" 2>/dev/null && [ $i -lt 50 ]; do
 done
 kill -0 "$pid" 2>/dev/null && fail "balgd ignored SIGTERM"
 pid=
+
+# a supervisor that stops reading stdout must not wedge or crash the
+# server: with its stdout pipe closed after the announce line, balgd
+# survives a SIGUSR1 status line, still exits 0 on SIGTERM within 5 s,
+# and writes its trace on the way out
+mkfifo "$tmp/stdout.fifo"
+"$BALGD" --port 0 --trace-out "$tmp/closed.trace.json" \
+  >"$tmp/stdout.fifo" 2>"$tmp/balgd.out" &
+pid=$!
+exec 3<"$tmp/stdout.fifo"
+read -r announce <&3 || fail "no announce line on the stdout pipe"
+exec 3<&-
+case "$announce" in *listening*) ;; *) fail "bad announce: $announce" ;; esac
+kill -USR1 "$pid"
+sleep 0.3
+kill -TERM "$pid"
+i=0
+while kill -0 "$pid" 2>/dev/null && [ $i -lt 50 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+kill -0 "$pid" 2>/dev/null && fail "balgd with a closed stdout ignored SIGTERM"
+rc=0
+wait "$pid" || rc=$?
+pid=
+[ "$rc" -eq 0 ] || fail "balgd with a closed stdout exited $rc"
+[ -s "$tmp/closed.trace.json" ] \
+  || fail "balgd with a closed stdout wrote no trace"
+echo "smoke: closed stdout survives SIGUSR1 and exits 0 on SIGTERM"
 echo "smoke: ok"

@@ -178,8 +178,8 @@ let test_meters () =
   let r = Value.replicate (B.of_int 8) (Value.tuple [ a ]) in
   let e = Expr.Powerset (Expr.lit r (Ty.relation 1)) in
   ignore (Eval.eval ~meters (Eval.env_of_list []) e);
-  Alcotest.(check int) "support meter" 9 meters.Eval.max_support_seen;
-  Alcotest.(check string) "count meter" "8" (B.to_string meters.Eval.max_count_seen)
+  Alcotest.(check int) "support meter" 9 meters.Harness.max_support_seen;
+  Alcotest.(check string) "count meter" "8" (B.to_string meters.Harness.max_count_seen)
 
 let test_truthy () =
   Alcotest.(check bool) "empty false" false (Eval.truthy Value.empty_bag);

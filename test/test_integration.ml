@@ -172,8 +172,8 @@ let test_meters_cardinal () =
   let b = Expr.lit (Value.replicate (Bignat.of_int 7) (Value.tuple [ Value.atom "a" ])) (Ty.relation 1) in
   ignore (Eval.eval ~meters (Eval.env_of_list []) Expr.(b *** b));
   Alcotest.(check string) "cardinal meter sees 49" "49"
-    (Bignat.to_string meters.Eval.max_cardinal_seen);
-  Alcotest.(check bool) "ops counted" true (meters.Eval.ops > 0)
+    (Bignat.to_string meters.Harness.max_cardinal_seen);
+  Alcotest.(check bool) "ops counted" true (meters.Harness.ops > 0)
 
 (* --- CLI-facing behaviours through the library ----------------------------- *)
 
